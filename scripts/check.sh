@@ -5,6 +5,10 @@
 #   format       .clang-format via scripts/format-check.sh
 #   build        default build (everything: tests, examples, benches)
 #   tier1/tier2  default ctest
+#   fresh-clone  tier-1 from the committed files alone: fails if git
+#                ignores any path under tests/, then clones HEAD into a
+#                temporary directory, builds it there and runs
+#                `ctest -L tier1 --repeat until-fail:5`
 #   lint-project scripts/dynamast-lint.py project-invariant linter
 #                (lock-class registry, sched-op pairing, history
 #                commit/abort pairing, metric naming, tsa-escape and
@@ -118,6 +122,39 @@ else
   record build FAIL
   record "tier1+tier2" SKIP "build failed"
 fi
+
+# 2b. Fresh clone -----------------------------------------------------------
+# Tier-1 must pass from what is committed, not from what happens to sit in
+# this checkout: an ignore pattern that swallows test data lets a suite
+# pass here and fail in every clone.
+# The guard refuses any git-ignored path under tests/ before building; the
+# clone then cannot see untracked files at all, and repeating each tier-1
+# test flushes interleaving-dependent flakes on multi-core hosts.
+fresh_clone_stage() {
+  local ignored
+  ignored=$(git status --porcelain --ignored tests/ | grep '^!!')
+  if [[ -n "$ignored" ]]; then
+    echo "check.sh: git ignores paths under tests/ (fix .gitignore):" >&2
+    echo "$ignored" >&2
+    return 1
+  fi
+  if [[ -n "$(git status --porcelain --untracked-files=no)" ]]; then
+    echo "check.sh: note: uncommitted changes are not part of the clone"
+  fi
+  local dir status
+  dir=$(mktemp -d "${TMPDIR:-/tmp}/dynamast-fresh-clone.XXXXXX") || return 1
+  git clone --quiet --no-hardlinks . "$dir/repo" &&
+    cmake -S "$dir/repo" -B "$dir/repo/build" \
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo &&
+    cmake --build "$dir/repo/build" -j "$JOBS" &&
+    ctest --test-dir "$dir/repo/build" -L tier1 --output-on-failure \
+      --repeat until-fail:5 -j "$JOBS"
+  status=$?
+  rm -rf "$dir"
+  return "$status"
+}
+
+run_stage fresh-clone fresh_clone_stage
 
 # 3. Observability surface --------------------------------------------------
 # A short real bench run must produce schema-valid, self-consistent

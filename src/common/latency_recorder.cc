@@ -11,6 +11,13 @@ namespace {
 // [kFirst * kGrowth^i, kFirst * kGrowth^(i+1)).
 constexpr double kGrowth = 1.04;
 constexpr double kFirstBoundMicros = 1.0;
+
+// a + b, clamped at UINT64_MAX instead of wrapping (see the class
+// comment: merged counts saturate).
+uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
+  uint64_t sum;
+  return __builtin_add_overflow(a, b, &sum) ? UINT64_MAX : sum;
+}
 }  // namespace
 
 LatencyRecorder::LatencyRecorder() : buckets_(kNumBuckets, 0) {}
@@ -56,8 +63,10 @@ void LatencyRecorder::Merge(const LatencyRecorder& other) {
     other_max = other.max_;
   }
   RawMutexLock guard(mu_);
-  for (size_t i = 0; i < kNumBuckets; ++i) buckets_[i] += other_buckets[i];
-  count_ += other_count;
+  for (size_t i = 0; i < kNumBuckets; ++i) {
+    buckets_[i] = SaturatingAdd(buckets_[i], other_buckets[i]);
+  }
+  count_ = SaturatingAdd(count_, other_count);
   sum_ += other_sum;
   max_ = std::max(max_, other_max);
 }
@@ -78,7 +87,7 @@ double LatencyRecorder::PercentileMicros(double q) const {
   const double target = q * static_cast<double>(count_);
   uint64_t seen = 0;
   for (size_t i = 0; i < kNumBuckets; ++i) {
-    seen += buckets_[i];
+    seen = SaturatingAdd(seen, buckets_[i]);
     if (static_cast<double>(seen) >= target) {
       // Midpoint of the bucket as the estimate, clamped so the last
       // (overflow) bucket reports the true observed maximum instead of its

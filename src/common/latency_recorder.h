@@ -13,6 +13,14 @@ namespace dynamast {
 /// Thread-safe log-bucketed latency histogram with percentile queries.
 /// Values are recorded in microseconds. Buckets grow geometrically
 /// (~4% resolution), which is plenty for reporting avg/p50/p90/p99 tables.
+///
+/// Merge() saturates the total and per-bucket counts at UINT64_MAX rather
+/// than wrapping: repeated cross-merges (a.Merge(b) interleaved with
+/// b.Merge(a)) roughly double both counts per round, and a count that
+/// wrapped to 0 would make a busy recorder read as empty. Once saturated,
+/// count() stays at UINT64_MAX and MaxMicros() stays exact; the mean and
+/// percentiles become approximate. Record() keeps a plain increment: one
+/// observation per call cannot reach 2^64.
 class LatencyRecorder {
  public:
   LatencyRecorder();

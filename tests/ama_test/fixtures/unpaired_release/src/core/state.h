@@ -1,0 +1,50 @@
+// Fixture for ama_test (unpaired_release): the clean State plus a
+// config version stamp (role seqno). Bump() release-stores it, but no
+// function anywhere acquire-loads it, so nothing can synchronize with
+// the store. The Bump() edge is already in this fixture's baseline, so
+// the only finding is the unpaired release.
+#ifndef FIXTURE_CORE_STATE_H_
+#define FIXTURE_CORE_STATE_H_
+
+#include <atomic>
+#include <cstdint>
+
+namespace dynamast::core {
+
+/// State is the shared run state of one worker pool.
+class State {
+ public:
+  /// Marks the pool running. The release store pairs with the acquire
+  /// load in Running(), so a worker that sees `true` also sees every
+  /// write made before Start().
+  void Start();
+
+  /// True once Start() has been observed.
+  bool Running() const;
+
+  /// Approximate liveness probe for stats. Relaxed on purpose: a stale
+  /// read only skews a report, never control flow.
+  bool Peek() const;
+
+  /// Publishes a new banner. The pointee must outlive every reader that
+  /// could still hold it.
+  void Publish(const char* banner);
+
+  /// The current banner, read inside an epoch-protected region so the
+  /// pointee cannot be reclaimed under the reader.
+  const char* Banner() const;
+
+  /// Stamps a new config version; nothing reads it back.
+  void Bump(uint64_t version) {
+    version_.store(version, std::memory_order_release);
+  }
+
+ private:
+  std::atomic<bool> running_{false};
+  std::atomic<const char*> banner_{nullptr};
+  std::atomic<uint64_t> version_{0};
+};
+
+}  // namespace dynamast::core
+
+#endif  // FIXTURE_CORE_STATE_H_
