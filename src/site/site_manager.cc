@@ -685,7 +685,9 @@ bool SiteManager::ApplyRefreshRecord(log::LogRecord record) {
       InstallVersion(w.key, origin, seq, std::move(w.value), &installs);
     }
     // Markers carry no writes; applying them just advances the origin slot,
-    // preserving the dense per-origin sequence.
+    // preserving the dense per-origin sequence. The applied count moves
+    // with the svv, so a waiter that sees the refresh also sees it counted.
+    counters_.refresh_applied.fetch_add(1, std::memory_order_relaxed);
     svv_[origin] = seq;
     state_cv_.notify_all();
   }
@@ -693,7 +695,6 @@ bool SiteManager::ApplyRefreshRecord(log::LogRecord record) {
   // visible to waiters, and the histogram leaf locks stay out of the
   // applier's critical section.
   FlushInstallMetrics(installs);
-  counters_.refresh_applied.fetch_add(1, std::memory_order_relaxed);
   if (exported_.refresh_applied != nullptr) {
     exported_.refresh_applied->Increment();
   }

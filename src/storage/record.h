@@ -2,11 +2,9 @@
 #define DYNAMAST_STORAGE_RECORD_H_
 
 #include <cstdint>
-#include <deque>
-#include <mutex>
+#include <memory>
 #include <string>
 
-#include "common/debug_mutex.h"
 #include "common/key.h"
 #include "common/status.h"
 #include "common/version_vector.h"
@@ -52,18 +50,27 @@ struct InstallStats {
 /// The chain is kept in site-local install order, which for a single record
 /// equals the global write order (writes to a record are totally ordered by
 /// single mastership + write locks).
+///
+/// It is a plain value with no lock of its own: the Table shard that owns
+/// it guards it (reads hold the shard shared, installs hold it exclusive).
+/// The versions sit in one contiguous array used as a ring; its capacity
+/// grows 1 -> 2 -> 4 ... as versions arrive and never exceeds
+/// `max_versions`, so a row that is only ever loaded holds one slot.
 class VersionedRecord {
  public:
-  explicit VersionedRecord(size_t max_versions) : max_versions_(max_versions) {}
+  /// `max_versions` is clamped to [1, 65535]: a record always retains at
+  /// least its newest version.
+  explicit VersionedRecord(size_t max_versions);
 
+  // Records live in place in their shard-map node and are never moved.
   VersionedRecord(const VersionedRecord&) = delete;
   VersionedRecord& operator=(const VersionedRecord&) = delete;
 
   /// Appends a new version (newest end), pruning the oldest retained
-  /// version if the chain exceeds its capacity. `stats` (when non-null)
+  /// version if the chain is at `max_versions`. `stats` (when non-null)
   /// receives the post-install chain length and whether a prune happened.
   void Install(SiteId origin, uint64_t seq, std::string value,
-               InstallStats* stats = nullptr) DYNAMAST_EXCLUDES(mu_);
+               InstallStats* stats = nullptr);
 
   /// Reads the newest version visible to `snapshot`. Returns:
   ///  * OK and the value when a visible version exists;
@@ -73,24 +80,44 @@ class VersionedRecord {
   /// On OK, `observed` (when non-null) receives the stamp of the version
   /// returned.
   Status ReadAtSnapshot(const VersionVector& snapshot, std::string* out,
-                        VersionStamp* observed = nullptr) const
-      DYNAMAST_EXCLUDES(mu_);
+                        VersionStamp* observed = nullptr) const;
 
   /// Reads the newest version unconditionally (loader / debugging).
-  Status ReadLatest(std::string* out) const DYNAMAST_EXCLUDES(mu_);
+  Status ReadLatest(std::string* out) const;
 
-  size_t NumVersions() const DYNAMAST_EXCLUDES(mu_);
-  uint64_t PrunedCount() const DYNAMAST_EXCLUDES(mu_);
+  /// Retained versions (not the array's capacity).
+  size_t NumVersions() const { return size_; }
+  /// Slots allocated for versions; at most `max_versions`.
+  size_t Capacity() const { return capacity_; }
+  /// Whether any version was ever pruned (what SnapshotTooOld needs).
+  bool HasPruned() const { return pruned_; }
 
  private:
-  // Leaf lock: held only around version-chain reads/appends, never while
-  // acquiring any other lock.
-  mutable DebugMutex mu_{"storage.record"};
-  // Oldest at front, newest at back.
-  std::deque<RecordVersion> versions_ DYNAMAST_GUARDED_BY(mu_);
-  size_t max_versions_;  // immutable after construction
-  uint64_t pruned_ DYNAMAST_GUARDED_BY(mu_) = 0;
+  // The i-th oldest retained version, i in [0, size_).
+  const RecordVersion& At(uint32_t i) const { return versions_[Slot(i)]; }
+  uint32_t Slot(uint32_t i) const {
+    const uint32_t j = head_ + i;
+    return j >= capacity_ ? j - capacity_ : j;
+  }
+  void Grow();
+
+  std::unique_ptr<RecordVersion[]> versions_;
+  uint16_t max_versions_;
+  uint16_t capacity_ = 0;
+  uint16_t head_ = 0;  // slot of the oldest retained version
+  uint16_t size_ = 0;
+  bool pruned_ = false;
 };
+
+// Per-row footprint budget: the shard map's node holds this record inline,
+// so node = next pointer + key + record = 40 B (a 48 B malloc chunk). With
+// the one-slot version array (64 B chunk) and a 120 B YCSB value (144 B
+// chunk) a loaded row costs ~265 B per site, down from ~910 B when the
+// record was a separately allocated object with its own mutex and a
+// std::deque. Growing this struct past 24 B moves the node to the next
+// malloc size class for every row in every table.
+static_assert(sizeof(VersionedRecord) <= 24,
+              "VersionedRecord is stored inline in every shard-map node");
 
 }  // namespace dynamast::storage
 

@@ -3,11 +3,9 @@
 
 #include <array>
 #include <functional>
-#include <memory>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/debug_mutex.h"
 #include "common/key.h"
@@ -21,10 +19,10 @@ namespace dynamast::storage {
 /// "records belonging to each relation in a row-oriented in-memory table
 /// using the primary key of each record as an index").
 ///
-/// The hash index is sharded; each shard is guarded by a shared_mutex so
-/// lookups scale while inserts take a brief exclusive lock. VersionedRecord
-/// pointers are stable once inserted (heap-allocated), so readers can drop
-/// the index lock before touching the version chain.
+/// The hash index is sharded; each shard's shared_mutex guards both the
+/// shard's index and its rows' version chains. Reads hold the shard shared
+/// across the lookup, the version walk and the value copy; an install holds
+/// it exclusive across the insert-or-find and the version append.
 class Table {
  public:
   Table(TableId id, size_t max_versions_per_record)
@@ -63,10 +61,9 @@ class Table {
     // Shards never nest: every operation touches exactly one shard at a
     // time (ForEachRowId iterates shard by shard).
     mutable DebugSharedMutex mu{"storage.table_shard"};
-    // The *index* is guarded; VersionedRecord pointers are stable once
-    // inserted, so readers drop the index lock before touching chains.
-    std::unordered_map<uint64_t, std::unique_ptr<VersionedRecord>> rows
-        DYNAMAST_GUARDED_BY(mu);
+    // Map nodes are reference-stable, so each record lives in place in its
+    // node; the lock guards the index and every chain in it.
+    std::unordered_map<uint64_t, VersionedRecord> rows DYNAMAST_GUARDED_BY(mu);
   };
   Shard& ShardFor(uint64_t row) { return shards_[ShardIndex(row)]; }
   const Shard& ShardFor(uint64_t row) const { return shards_[ShardIndex(row)]; }
@@ -74,8 +71,6 @@ class Table {
     uint64_t x = row * 0x9e3779b97f4a7c15ULL;
     return static_cast<size_t>(x >> 58);  // top 6 bits -> 64 shards
   }
-
-  const VersionedRecord* Find(uint64_t row) const;
 
   TableId id_;
   size_t max_versions_;

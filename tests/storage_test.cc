@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <thread>
 
 #include "common/random.h"
@@ -125,7 +126,7 @@ TEST(VersionedRecordTest, PruneKeepsNewest) {
   record.Install(0, 2, "v2");
   record.Install(0, 3, "v3");
   EXPECT_EQ(record.NumVersions(), 2u);
-  EXPECT_EQ(record.PrunedCount(), 1u);
+  EXPECT_TRUE(record.HasPruned());
   std::string value;
   ASSERT_TRUE(record.ReadAtSnapshot(Vv({3}), &value).ok());
   EXPECT_EQ(value, "v3");
@@ -163,6 +164,79 @@ TEST(VersionedRecordTest, ReadLatest) {
   std::string value;
   ASSERT_TRUE(record.ReadLatest(&value).ok());
   EXPECT_EQ(value, "b");
+}
+
+TEST(VersionedRecordTest, RingWrapsAtNonPowerOfTwoCapacity) {
+  // Three retained versions: the ring wraps at a capacity that doubling
+  // (1 -> 2 -> 4) never reaches, so growth must clamp to max_versions.
+  VersionedRecord record(3);
+  for (uint64_t seq = 1; seq <= 10; ++seq) {
+    record.Install(0, seq, "v" + std::to_string(seq));
+  }
+  EXPECT_EQ(record.NumVersions(), 3u);
+  EXPECT_EQ(record.Capacity(), 3u);
+  std::string value;
+  VersionStamp observed;
+  // Every snapshot in the retained window reads its own version.
+  for (uint64_t snap = 8; snap <= 10; ++snap) {
+    ASSERT_TRUE(record.ReadAtSnapshot(Vv({snap}), &value, &observed).ok())
+        << "snapshot " << snap;
+    EXPECT_EQ(value, "v" + std::to_string(snap));
+    EXPECT_EQ(observed.seq, snap);
+  }
+  ASSERT_TRUE(record.ReadAtSnapshot(Vv({99}), &value).ok());
+  EXPECT_EQ(value, "v10");
+  ASSERT_TRUE(record.ReadLatest(&value).ok());
+  EXPECT_EQ(value, "v10");
+  // Snapshots older than the window saw versions that were pruned.
+  for (uint64_t snap = 0; snap <= 7; ++snap) {
+    EXPECT_TRUE(record.ReadAtSnapshot(Vv({snap}), &value).IsSnapshotTooOld())
+        << "snapshot " << snap;
+  }
+  // A fresh row never pruned anything: a pre-creation snapshot is
+  // NotFound, not SnapshotTooOld.
+  VersionedRecord fresh(3);
+  fresh.Install(0, 5, "v5");
+  EXPECT_TRUE(fresh.ReadAtSnapshot(Vv({4}), &value).IsNotFound());
+  EXPECT_FALSE(fresh.HasPruned());
+}
+
+TEST(VersionedRecordTest, GrowthKeepsInstallOrder) {
+  VersionedRecord record(4);
+  const size_t expected_capacity[] = {1, 2, 4, 4, 4, 4};
+  std::string value;
+  for (uint64_t seq = 1; seq <= 6; ++seq) {
+    record.Install(0, seq, "v" + std::to_string(seq));
+    EXPECT_EQ(record.Capacity(), expected_capacity[seq - 1]) << "seq " << seq;
+    // After each growth step (and after the wrap) every retained version
+    // is still reachable at its own snapshot, newest last.
+    const uint64_t oldest = seq > 4 ? seq - 3 : 1;
+    for (uint64_t snap = oldest; snap <= seq; ++snap) {
+      ASSERT_TRUE(record.ReadAtSnapshot(Vv({snap}), &value).ok())
+          << "seq " << seq << " snapshot " << snap;
+      EXPECT_EQ(value, "v" + std::to_string(snap));
+    }
+    ASSERT_TRUE(record.ReadLatest(&value).ok());
+    EXPECT_EQ(value, "v" + std::to_string(seq));
+  }
+}
+
+TEST(VersionedRecordTest, ChainLenReportsRetainedVersionsNotCapacity) {
+  VersionedRecord record(5);
+  InstallStats stats;
+  const size_t expected_len[] = {1, 2, 3, 4, 5, 5, 5};
+  const size_t expected_capacity[] = {1, 2, 4, 4, 5, 5, 5};
+  for (uint64_t seq = 1; seq <= 7; ++seq) {
+    record.Install(0, seq, "v", &stats);
+    EXPECT_EQ(stats.chain_len, expected_len[seq - 1]) << "seq " << seq;
+    EXPECT_EQ(record.Capacity(), expected_capacity[seq - 1]) << "seq " << seq;
+    EXPECT_EQ(stats.pruned, seq > 5) << "seq " << seq;
+  }
+  // Through the table too: three installs sit in a four-slot array.
+  Table table(0, 5);
+  for (uint64_t seq = 1; seq <= 3; ++seq) table.Install(1, 0, seq, "v", &stats);
+  EXPECT_EQ(stats.chain_len, 3u);
+  EXPECT_FALSE(stats.pruned);
 }
 
 // ---- Table ---------------------------------------------------------------
@@ -204,6 +278,57 @@ TEST(TableTest, ConcurrentInstallsDistinctRows) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(table.NumRows(), 2000u);
+}
+
+// One thread installs increasing seqs on a hot row (and inserts fresh rows,
+// so shard maps rehash under the readers) while readers on the hot row's
+// shard check that the newest visible seq never goes backwards and that
+// the value they copied is the whole value written with that seq.
+TEST(TableTest, ConcurrentReadsDuringInstalls) {
+  constexpr uint64_t kHotRow = 7;
+  constexpr uint64_t kInstalls = 20000;
+  constexpr size_t kWords = 16;  // 128-byte values: heap-allocated strings
+  auto make_value = [](uint64_t seq) {
+    std::string v(kWords * sizeof(uint64_t), '\0');
+    for (size_t w = 0; w < kWords; ++w) {
+      std::memcpy(&v[w * sizeof(uint64_t)], &seq, sizeof(seq));
+    }
+    return v;
+  };
+  Table table(0, 4);
+  table.Install(kHotRow, 0, 1, make_value(1));
+  constexpr int kReaders = 3;
+  std::atomic<int> started{0};
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      const VersionVector snapshot = Vv({UINT64_MAX});
+      uint64_t last = 0;
+      std::string value;
+      VersionStamp observed;
+      started.fetch_add(1, std::memory_order_relaxed);
+      do {
+        ASSERT_TRUE(table.Read(kHotRow, snapshot, &value, &observed).ok());
+        ASSERT_GE(observed.seq, last);
+        last = observed.seq;
+        ASSERT_EQ(value, make_value(observed.seq)) << "torn at " << last;
+      } while (!done.load(std::memory_order_acquire));
+    });
+  }
+  while (started.load(std::memory_order_relaxed) < kReaders) {
+    std::this_thread::yield();
+  }
+  for (uint64_t seq = 2; seq <= kInstalls; ++seq) {
+    table.Install(kHotRow, 0, seq, make_value(seq));
+    table.Install(1000 + seq, 0, 0, "fresh");
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  std::string value;
+  ASSERT_TRUE(table.ReadLatest(kHotRow, &value).ok());
+  EXPECT_EQ(value, make_value(kInstalls));
+  EXPECT_EQ(table.NumRows(), kInstalls);
 }
 
 // ---- LockManager ----------------------------------------------------------
