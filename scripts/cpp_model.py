@@ -678,7 +678,8 @@ def resolve_mutex_expr(project, expr, body_text, cls_name):
 _CALL_RE = re.compile(
     r"((?:\w+(?:\[[^\]]*\])?\s*(?:->|\.)\s*)*)((?:\w+\s*::\s*)*\w+)\s*\(")
 _CHAINED_CALL_RE = re.compile(r"\)\s*->\s*(\w+)\s*\(")
-_MAKE_RE = re.compile(r"\bmake_(unique|shared)\s*<")
+# make_unique_for_overwrite / make_shared_for_overwrite allocate too.
+_MAKE_RE = re.compile(r"\bmake_(unique|shared)(?:_for_overwrite)?\s*<")
 _NEW_RE = re.compile(r"\bnew\s+[A-Za-z_(]")
 _SPAN_RE = re.compile(r"\b(?:trace\s*::\s*)?Span\s+\w+\s*\(")
 _LOCKER_RE = re.compile(

@@ -71,6 +71,8 @@ const char* OpKindName(OpKind kind) {
       return "log.append";
     case OpKind::kMarker:
       return "marker";
+    case OpKind::kLogRead:
+      return "log.read";
   }
   return "?";
 }
@@ -80,11 +82,13 @@ bool AcquireLike(OpKind kind) {
 }
 
 bool OpsConflict(OpKind a, OpKind b) {
-  // On one object, the only commuting pair is two shared acquisitions
-  // (reader-reader). Shared releases are kept ordered: the scheduler
-  // serializes them anyway, and treating them as dependent keeps the
-  // happens-before relation a superset of the true dependency relation
-  // (sound for DPOR: at worst we explore a few redundant schedules).
+  // On one object, the commuting pairs are two shared acquisitions
+  // (reader-reader) and two durable-log reads (two subscribers of one
+  // topic). Shared releases are kept ordered: the scheduler serializes
+  // them anyway, and treating them as dependent keeps the happens-before
+  // relation a superset of the true dependency relation (sound for DPOR:
+  // at worst we explore a few redundant schedules).
+  if (a == OpKind::kLogRead && b == OpKind::kLogRead) return false;
   return !(a == OpKind::kMutexLockShared && b == OpKind::kMutexLockShared);
 }
 

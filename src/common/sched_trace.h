@@ -16,7 +16,8 @@ namespace dynamast::sched {
 ///
 /// Every synchronization operation the scheduler arbitrates — DebugMutex
 /// acquire/release (exclusive and shared), simulated-network delivery,
-/// admission-slot grant, durable-log append — is one TraceEntry: which
+/// admission-slot grant, durable-log append and delivered durable-log
+/// read — is one TraceEntry: which
 /// thread performed which kind of operation on which object, in the
 /// serialized order the run resolved them. Acquire-like operations are
 /// recorded *after* they complete and release-like operations *before*
@@ -33,8 +34,9 @@ enum class OpKind : uint8_t {
   kGateGrant = 5,
   kLogAppend = 6,
   kMarker = 7,
+  kLogRead = 8,
 };
-inline constexpr uint8_t kNumOpKinds = 8;
+inline constexpr uint8_t kNumOpKinds = 9;
 
 const char* OpKindName(OpKind kind);
 

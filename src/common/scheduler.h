@@ -15,7 +15,7 @@ namespace dynamast::sched {
 ///
 /// The concurrent subsystems mark their synchronization operations —
 /// every DebugMutex acquisition/release, simulated-network delivery,
-/// admission-gate slot grant, durable-log append — with the
+/// admission-gate slot grant, durable-log append and read — with the
 /// DYNAMAST_SCHED_OP / DYNAMAST_SCHED_OP_SCOPE macros below. In default
 /// builds those expand to nothing; with -DDYNAMAST_SCHED_FUZZ=ON every
 /// operation consults this engine, which runs in one of five modes:

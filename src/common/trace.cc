@@ -39,31 +39,35 @@ std::string TraceEvent::ToJson(uint32_t pid_offset) const {
   return out;
 }
 
-Tracer::Tracer(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {
-  ring_.reserve(std::min<size_t>(capacity_, 1024));
-}
+Tracer::Tracer(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
 
 void Tracer::Record(TraceEvent event) {
   RawMutexLock guard(mu_);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(event));
+  Ring& ring = rings_[event.cat];  // a new category's ring starts empty
+  const uint64_t seq = recorded_++;
+  if (ring.events.size() < capacity_) {
+    ring.events.push_back({seq, std::move(event)});
     return;
   }
-  // Ring full: overwrite the oldest event.
-  ring_[next_] = std::move(event);
-  next_ = (next_ + 1) % capacity_;
-  wrapped_ = true;
+  // Ring full: overwrite its oldest event.
+  ring.events[ring.next] = {seq, std::move(event)};
+  ring.next = (ring.next + 1) % capacity_;
   ++dropped_;
 }
 
 std::vector<TraceEvent> Tracer::Snapshot() const {
-  RawMutexLock guard(mu_);
-  if (!wrapped_) return ring_;
-  std::vector<TraceEvent> out;
-  out.reserve(ring_.size());
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_ + i) % capacity_]);
+  std::vector<std::pair<uint64_t, TraceEvent>> merged;
+  {
+    RawMutexLock guard(mu_);
+    for (const auto& [cat, ring] : rings_) {
+      merged.insert(merged.end(), ring.events.begin(), ring.events.end());
+    }
   }
+  std::sort(merged.begin(), merged.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<TraceEvent> out;
+  out.reserve(merged.size());
+  for (auto& entry : merged) out.push_back(std::move(entry.second));
   return out;
 }
 
@@ -74,7 +78,9 @@ uint64_t Tracer::dropped() const {
 
 size_t Tracer::size() const {
   RawMutexLock guard(mu_);
-  return ring_.size();
+  size_t total = 0;
+  for (const auto& [cat, ring] : rings_) total += ring.events.size();
+  return total;
 }
 
 void Tracer::SetProcessName(uint32_t pid, std::string name) {

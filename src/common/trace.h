@@ -37,8 +37,10 @@ struct TraceEvent {
   std::string ToJson(uint32_t pid_offset = 0) const;
 };
 
-/// Bounded in-memory span sink. Recording is mutex-guarded but cheap
-/// (one lock, one ring slot); tracing is off by default
+/// Bounded in-memory span sink: one ring of `capacity` events per span
+/// category, so the high-rate categories (txn, replication) cannot evict
+/// the rare ones (remaster) from a long run. Recording is mutex-guarded
+/// but cheap (one lock, one ring slot); tracing is off by default
 /// (Cluster::Options::trace) so the steady-state cost is a null check.
 class Tracer {
  public:
@@ -49,10 +51,10 @@ class Tracer {
 
   DYNAMAST_EXPENSIVE void Record(TraceEvent event) DYNAMAST_EXCLUDES(mu_);
 
-  /// Ring contents in record order (oldest first).
+  /// Every ring's contents, merged in record order (oldest first).
   std::vector<TraceEvent> Snapshot() const DYNAMAST_EXCLUDES(mu_);
 
-  /// Events evicted because the ring was full.
+  /// Events evicted because their category's ring was full.
   uint64_t dropped() const DYNAMAST_EXCLUDES(mu_);
   size_t size() const DYNAMAST_EXCLUDES(mu_);
   size_t capacity() const { return capacity_; }
@@ -74,9 +76,13 @@ class Tracer {
   // RawMutex (no sched hooks): spans are recorded inside scheduler-visible
   // critical sections, so the sink lock must not re-enter the scheduler.
   mutable RawMutex mu_;
-  std::vector<TraceEvent> ring_ DYNAMAST_GUARDED_BY(mu_);
-  size_t next_ DYNAMAST_GUARDED_BY(mu_) = 0;       // write cursor when full
-  bool wrapped_ DYNAMAST_GUARDED_BY(mu_) = false;  // wrapped at least once
+  struct Ring {
+    // (record sequence number, event); the number orders the merge.
+    std::vector<std::pair<uint64_t, TraceEvent>> events;
+    size_t next = 0;  // write cursor (the oldest event) once full
+  };
+  std::map<std::string, Ring> rings_ DYNAMAST_GUARDED_BY(mu_);
+  uint64_t recorded_ DYNAMAST_GUARDED_BY(mu_) = 0;
   uint64_t dropped_ DYNAMAST_GUARDED_BY(mu_) = 0;
   std::map<uint32_t, std::string> process_names_ DYNAMAST_GUARDED_BY(mu_);
 };

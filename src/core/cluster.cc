@@ -2,6 +2,9 @@
 
 #include <string>
 
+#include "common/invariant_checker.h"
+#include "common/scheduler.h"
+
 namespace dynamast::core {
 
 Cluster::Cluster(const Options& options, const Partitioner* partitioner)
@@ -21,9 +24,8 @@ Cluster::Cluster(const Options& options, const Partitioner* partitioner)
     history_ = std::make_unique<history::Recorder>();
   }
   network_.RegisterMetrics(metrics_);
+  logs_.RegisterMetrics(metrics_);
   for (uint32_t i = 0; i < options_.num_sites; ++i) {
-    logs_.TopicFor(i)->SetAppendLatency(metrics_->GetHistogram(
-        "log_append_us", {{"site", std::to_string(i)}}));
     site::SiteOptions site_options = options_.site;
     site_options.site_id = i;
     site_options.num_sites = options_.num_sites;
@@ -36,15 +38,49 @@ Cluster::Cluster(const Options& options, const Partitioner* partitioner)
 Cluster::~Cluster() { Stop(); }
 
 void Cluster::Start() {
-  if (!options_.replicated) return;
+  if (!options_.replicated || cleaner_.joinable()) return;
   for (auto& s : sites_) s->Start();
+  cleaner_ = std::thread([this] {
+    sched::ThreadGuard sched_guard("log/cleaner");
+    CleanerLoop();
+  });
 }
 
 void Cluster::Stop() {
   if (stopped_) return;
   stopped_ = true;
-  logs_.CloseAll();
+  logs_.CloseAll();  // also ends the cleaner's wait
+  {
+    sched::ScopedBlocked blocked;
+    if (cleaner_.joinable()) cleaner_.join();
+  }
   for (auto& s : sites_) s->Stop();
+}
+
+void Cluster::CleanerLoop() {
+  while (true) {
+    bool woken;
+    {
+      // The wait is outside the scheduler's arbitration.
+      sched::ScopedBlocked blocked;
+      woken = logs_.WaitForFullSegment();
+    }
+    if (!woken) return;
+    const Status s = CheckpointLogs();
+    DYNAMAST_INVARIANT(s.ok(), "log checkpoint failed: " + s.ToString());
+    (void)s;
+  }
+}
+
+Status Cluster::CheckpointLogs() {
+  VersionVector cut = sites_[0]->CurrentVersion();
+  for (size_t i = 1; i < sites_.size(); ++i) {
+    const VersionVector svv = sites_[i]->CurrentVersion();
+    for (size_t k = 0; k < cut.size(); ++k) {
+      if (svv[k] < cut[k]) cut[k] = svv[k];
+    }
+  }
+  return logs_.Checkpoint(cut);
 }
 
 std::vector<site::SiteManager*> Cluster::site_pointers() {

@@ -2,6 +2,7 @@
 #define DYNAMAST_CORE_CLUSTER_H_
 
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/history.h"
@@ -17,9 +18,12 @@ namespace dynamast::core {
 
 /// Cluster owns the shared substrate of one deployment: the simulated
 /// network, the per-site durable log topics, the partitioner, and the data
-/// sites themselves. Systems (DynaMast and baselines) are built on top of
-/// a Cluster; tests and benchmarks construct one Cluster per system under
-/// test so substrate state is never shared across systems.
+/// sites themselves. A replicated cluster also runs the log cleaner: one
+/// background thread that checkpoints the logs whenever an append fills a
+/// segment, so log memory is bounded by the working set, not run length.
+/// Systems (DynaMast and baselines) are built on top of a Cluster; tests
+/// and benchmarks construct one Cluster per system under test so
+/// substrate state is never shared across systems.
 class Cluster {
  public:
   struct Options {
@@ -51,7 +55,9 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// Starts refresh appliers (no-op for unreplicated clusters).
+  /// Starts refresh appliers and the log cleaner (no-op for unreplicated
+  /// clusters: with no peer applying their topics, the cut never
+  /// advances, so their logs keep every record).
   void Start();
 
   /// Closes logs and stops all sites. Idempotent.
@@ -78,7 +84,14 @@ class Cluster {
   /// Creates a table at every site.
   Status CreateTable(TableId id);
 
+  /// Checkpoints the logs at the component-wise minimum of every site's
+  /// svv: a consistent cut that every applier has passed. The log cleaner
+  /// calls this; tests call it to place a checkpoint deterministically.
+  Status CheckpointLogs();
+
  private:
+  void CleanerLoop();
+
   Options options_;
   const Partitioner* partitioner_;
   net::SimulatedNetwork network_;
@@ -87,6 +100,7 @@ class Cluster {
   std::unique_ptr<trace::Tracer> tracer_;
   std::unique_ptr<history::Recorder> history_;
   std::vector<std::unique_ptr<site::SiteManager>> sites_;
+  std::thread cleaner_;
   bool stopped_ = false;
 };
 

@@ -69,10 +69,10 @@ SiteManager::SiteManager(const SiteOptions& options,
 }
 
 void SiteManager::InstallVersion(const RecordKey& key, SiteId origin,
-                                 uint64_t seq, std::string value,
+                                 uint64_t seq, std::string_view value,
                                  InstallBatch* batch) {
   storage::InstallStats stats;
-  const Status s = engine_.Install(key, origin, seq, std::move(value), &stats);
+  const Status s = engine_.Install(key, origin, seq, value, &stats);
   DYNAMAST_INVARIANT(s.ok(), "version install failed for " + key.ToString() +
                                  ": " + s.ToString());
   (void)s;
@@ -424,22 +424,18 @@ Status SiteManager::Commit(Transaction* txn, VersionVector* commit_version) {
                            " regressed below begin snapshot " +
                            txn->begin_version_.ToString());
     record.tvv = tvv;
-    // Serialize before installation: the install loop below consumes the
-    // write values by move, so the propagation payload must be captured
-    // first. The append timestamp rides along so appliers can measure
-    // end-to-end refresh delay (the measured input to Eq. 4/5).
+    // The append timestamp rides along so appliers can measure end-to-end
+    // refresh delay (the measured input to Eq. 4/5).
     record.append_ts_us = metrics::NowMicros();
     std::string payload = record.Serialize();
     // Install versions before publishing the new svv so no concurrent
-    // snapshot can observe seq without the versions being readable. The
-    // record is dead after serialization, so each value moves into the
-    // version store instead of copying.
-    for (log::WriteEntry& w : record.writes) {
-      InstallVersion(w.key, site_id(), seq, std::move(w.value), &installs);
+    // snapshot can observe seq without the versions being readable.
+    for (const log::WriteEntry& w : record.writes) {
+      InstallVersion(w.key, site_id(), seq, w.value, &installs);
     }
     // Append to the redo/propagation log inside the critical section so
     // topic order equals commit order (appliers rely on it).
-    logs_->TopicFor(site_id())->Append(std::move(payload));
+    logs_->TopicFor(site_id())->Append(payload);
     svv_[site_id()] = seq;
     for (PartitionId p : txn->write_partitions_) {
       auto it = active_writers_.find(p);
@@ -658,15 +654,7 @@ bool SiteManager::ApplyRefreshRecord(log::LogRecord record) {
     MutexLock lock(state_mu_);
     // Update application rule, Eq. 1: all cross-origin dependencies applied
     // and this record is the next in the origin's commit order.
-    auto applicable = [&] {
-      if (svv_[origin] != seq - 1) return false;
-      for (size_t k = 0; k < record.tvv.size(); ++k) {
-        if (k == origin) continue;
-        if (svv_[k] < record.tvv[k]) return false;
-      }
-      return true;
-    };
-    while (!applicable()) {
+    while (!log::Eq1Applicable(record, svv_)) {
       if (stopping_.load(std::memory_order_acquire)) return false;
       state_cv_.wait_for(state_mu_, kApplierPollInterval);
     }
@@ -681,8 +669,8 @@ bool SiteManager::ApplyRefreshRecord(log::LogRecord record) {
                        "refresh from origin " + std::to_string(origin) +
                            " seq " + std::to_string(seq) +
                            " is not dense after svv " + svv_.ToString());
-    for (log::WriteEntry& w : record.writes) {
-      InstallVersion(w.key, origin, seq, std::move(w.value), &installs);
+    for (const log::WriteEntry& w : record.writes) {
+      InstallVersion(w.key, origin, seq, w.value, &installs);
     }
     // Markers carry no writes; applying them just advances the origin slot,
     // preserving the dense per-origin sequence. The applied count moves
@@ -721,6 +709,10 @@ void SiteManager::ApplierLoop(SiteId origin) {
     Status s = cursor.Next(&raw, std::chrono::steady_clock::now() +
                                      kApplierPollInterval);
     if (s.IsTimedOut()) continue;
+    // The log cleaner only truncates below every site's svv, and this
+    // cursor is never behind this site's svv.
+    DYNAMAST_INVARIANT(!s.IsSnapshotTooOld(),
+                       "applier cursor fell below the retained log base");
     if (!s.ok()) return;  // log closed
     log::LogRecord record;
     if (!log::LogRecord::Deserialize(raw, &record).ok()) return;
@@ -761,7 +753,6 @@ Status SiteManager::LoadRecord(const RecordKey& key, std::string value) {
 Status SiteManager::RecoverFromLogs(
     const std::unordered_map<PartitionId, SiteId>& initial_masters,
     std::unordered_map<PartitionId, SiteId>* recovered_masters) {
-  *recovered_masters = initial_masters;
   // Recovery is single-threaded by contract ("call on a stopped site"),
   // so install-metric accumulation can grow without a pre-reserved bound.
   InstallBatch installs;
@@ -770,50 +761,24 @@ Status SiteManager::RecoverFromLogs(
   // Nesting under the log/storage locks matches Commit.
   {
     MutexLock lock(state_mu_);
-    std::vector<uint64_t> offsets(options_.num_sites, 0);
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      for (SiteId origin = 0; origin < options_.num_sites; ++origin) {
-        std::string raw;
-        while (logs_->TopicFor(origin)->TryRead(offsets[origin], &raw).ok()) {
-          log::LogRecord record;
-          Status s = log::LogRecord::Deserialize(raw, &record);
-          if (!s.ok()) return s;
-          // Non-blocking Eq. 1 check against the reconstructed svv.
-          bool applicable = svv_[origin] == record.tvv[origin] - 1;
-          for (size_t k = 0; applicable && k < record.tvv.size(); ++k) {
-            if (k != origin && svv_[k] < record.tvv[k]) applicable = false;
-          }
-          if (!applicable) break;  // revisit this origin next round
+    // Install the log-side checkpoint, then replay the retained suffix
+    // through the same Eq. 1 fold that built the checkpoint.
+    log::LogCut cut(options_.num_sites);
+    Status s = logs_->RecoverInto(
+        [&](const RecordKey& key, const log::CheckpointRow& row) {
+          InstallVersion(key, row.origin, row.seq, row.value, &installs);
+        },
+        [&](log::LogRecord& record) {
+          const uint64_t seq = record.tvv[record.origin];
           for (const log::WriteEntry& w : record.writes) {
-            InstallVersion(w.key, origin, record.tvv[origin], w.value,
-                           &installs);
+            InstallVersion(w.key, record.origin, seq, w.value, &installs);
           }
-          if (record.type == log::LogRecord::Type::kRelease) {
-            // A release marker names its intended recipient, so mastership
-            // is assigned to the peer immediately: if the crash hit between
-            // the release and the grant, every recovering site still
-            // converges on exactly one master (the recipient) instead of
-            // leaving the partition masterless. A following grant marker
-            // (the common case) re-asserts the same owner.
-            for (PartitionId p : record.partitions) {
-              auto it = recovered_masters->find(p);
-              if (it != recovered_masters->end() && it->second == origin) {
-                it->second = record.transfer_peer;
-              }
-            }
-          } else if (record.type == log::LogRecord::Type::kGrant) {
-            for (PartitionId p : record.partitions) {
-              (*recovered_masters)[p] = origin;
-            }
-          }
-          svv_[origin] = record.tvv[origin];
-          offsets[origin]++;
-          progressed = true;
-        }
-      }
-    }
+        },
+        &cut);
+    if (!s.ok()) return s;
+    svv_ = cut.svv;
+    *recovered_masters = initial_masters;
+    cut.ResolveMasters(recovered_masters);
     // Adopt the mastership this site is entitled to.
     mastered_.clear();
     for (const auto& [p, owner] : *recovered_masters) {

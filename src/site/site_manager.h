@@ -163,11 +163,13 @@ class SiteManager {
   /// the same rows at every site).
   Status LoadRecord(const RecordKey& key, std::string value);
 
-  /// Rebuilds storage and the svv by replaying all log topics from the
-  /// beginning, respecting the update application rule. Mastership is
-  /// reconstructed from release/grant markers on top of
-  /// `initial_masters` (partition -> site). Call on a stopped, freshly
-  /// constructed site. Returns the reconstructed mastership map.
+  /// Rebuilds storage and the svv from the logs: installs the log-side
+  /// checkpoint, then replays the retained suffix of every topic under
+  /// the update application rule (log::FoldLogs). Mastership is
+  /// reconstructed from the checkpoint's and the suffix's release/grant
+  /// markers on top of `initial_masters` (partition -> site). Call on a
+  /// stopped, freshly constructed site. Returns the reconstructed
+  /// mastership map.
   Status RecoverFromLogs(
       const std::unordered_map<PartitionId, SiteId>& initial_masters,
       std::unordered_map<PartitionId, SiteId>* recovered_masters)
@@ -216,7 +218,7 @@ class SiteManager {
   // prune outcomes into `batch`. Install can only fail if the table
   // vanished mid-run — a programming error — so failure trips an invariant.
   void InstallVersion(const RecordKey& key, SiteId origin, uint64_t seq,
-                      std::string value, InstallBatch* batch);
+                      std::string_view value, InstallBatch* batch);
 
   // Observes the accumulated install outcomes. Call without state_mu_.
   void FlushInstallMetrics(const InstallBatch& batch);

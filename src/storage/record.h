@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/key.h"
 #include "common/status.h"
@@ -21,10 +22,19 @@ namespace dynamast::storage {
 /// commit order (the replication manager's FIFO), and (b) the update
 /// application rule (Eq. 1) guarantees that when b[origin] >= seq, every
 /// update the writing transaction depended on has also been installed.
+///
+/// The value is a bare heap buffer rather than a std::string: the slot is
+/// 24 B instead of 48 B, and a 120 B YCSB value takes a 128 B malloc chunk
+/// instead of the 144 B one its NUL terminator costs a std::string.
 struct RecordVersion {
   SiteId origin = 0;
+  uint32_t size = 0;  // value bytes
   uint64_t seq = 0;
-  std::string value;
+  std::unique_ptr<char[]> value;
+
+  std::string_view Value() const { return {value.get(), size}; }
+  /// Replaces the value, reusing the buffer when the size is unchanged.
+  void Assign(std::string_view bytes);
 };
 
 /// The (origin, seq) stamp of a version a read observed, reported to the
@@ -69,7 +79,7 @@ class VersionedRecord {
   /// Appends a new version (newest end), pruning the oldest retained
   /// version if the chain is at `max_versions`. `stats` (when non-null)
   /// receives the post-install chain length and whether a prune happened.
-  void Install(SiteId origin, uint64_t seq, std::string value,
+  void Install(SiteId origin, uint64_t seq, std::string_view value,
                InstallStats* stats = nullptr);
 
   /// Reads the newest version visible to `snapshot`. Returns:
@@ -111,13 +121,16 @@ class VersionedRecord {
 
 // Per-row footprint budget: the shard map's node holds this record inline,
 // so node = next pointer + key + record = 40 B (a 48 B malloc chunk). With
-// the one-slot version array (64 B chunk) and a 120 B YCSB value (144 B
-// chunk) a loaded row costs ~265 B per site, down from ~910 B when the
-// record was a separately allocated object with its own mutex and a
-// std::deque. Growing this struct past 24 B moves the node to the next
-// malloc size class for every row in every table.
+// the one-slot version array (32 B chunk) and a 120 B YCSB value (128 B
+// chunk) a loaded row costs ~215 B per site, and a row holding four
+// versions ~680 B (112 B array + 4 x 128 B values), down from ~910 B for a
+// loaded row when the record was a separately allocated object with its
+// own mutex and a std::deque. Growing this struct past 24 B moves the node
+// to the next malloc size class for every row in every table.
 static_assert(sizeof(VersionedRecord) <= 24,
               "VersionedRecord is stored inline in every shard-map node");
+static_assert(sizeof(RecordVersion) <= 24,
+              "RecordVersion is one slot of every row's version array");
 
 }  // namespace dynamast::storage
 

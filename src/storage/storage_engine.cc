@@ -18,11 +18,11 @@ Table* StorageEngine::GetTable(TableId id) const {
 }
 
 Status StorageEngine::Install(const RecordKey& key, SiteId origin,
-                              uint64_t seq, std::string value,
+                              uint64_t seq, std::string_view value,
                               InstallStats* stats) {
   Table* table = GetTable(key.table);
   if (table == nullptr) return Status::InvalidArgument("no such table");
-  table->Install(key.row, origin, seq, std::move(value), stats);
+  table->Install(key.row, origin, seq, value, stats);
   return Status::OK();
 }
 

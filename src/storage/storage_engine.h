@@ -44,7 +44,7 @@ class StorageEngine {
   /// refresh application). InvalidArgument if the table does not exist.
   /// `stats` (when non-null) receives the install outcome for metrics.
   Status Install(const RecordKey& key, SiteId origin, uint64_t seq,
-                 std::string value, InstallStats* stats = nullptr);
+                 std::string_view value, InstallStats* stats = nullptr);
 
   /// Snapshot read at `snapshot` (a version vector). On OK, `observed`
   /// (when non-null) receives the stamp of the version returned.

@@ -3,12 +3,12 @@
 namespace dynamast::storage {
 
 void Table::Install(uint64_t row, SiteId origin, uint64_t seq,
-                    std::string value, InstallStats* stats) {
+                    std::string_view value, InstallStats* stats) {
   Shard& shard = ShardFor(row);
   WriterMutexLock write_lock(shard.mu);
   VersionedRecord& record =
       shard.rows.try_emplace(row, max_versions_).first->second;
-  record.Install(origin, seq, std::move(value), stats);
+  record.Install(origin, seq, value, stats);
 }
 
 Status Table::Read(uint64_t row, const VersionVector& snapshot,

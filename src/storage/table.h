@@ -35,8 +35,8 @@ class Table {
 
   /// Installs a new version for `row`, creating the record if absent.
   /// `stats` (when non-null) receives the install outcome for metrics.
-  void Install(uint64_t row, SiteId origin, uint64_t seq, std::string value,
-               InstallStats* stats = nullptr);
+  void Install(uint64_t row, SiteId origin, uint64_t seq,
+               std::string_view value, InstallStats* stats = nullptr);
 
   /// Snapshot read; see VersionedRecord::ReadAtSnapshot for semantics.
   /// NotFound if the row does not exist at all.

@@ -12,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <thread>
+#include <unordered_map>
 
 #include "common/partitioner.h"
 #include "common/random.h"
@@ -214,10 +216,12 @@ TEST(LostUpdateTest, ConcurrentIncrementsAllSurvive) {
 
 // ---- Mid-run replica recovery -------------------------------------------------
 
-TEST(RecoveryTest, FreshReplicaConvergesFromRedoLog) {
-  // Run a workload against a 3-site DynaMast deployment, then build a
-  // brand-new site-2 replica from the initial load plus the redo logs and
-  // compare its rows to a survivor's.
+// Runs `txns` two-key increments from one client against a 3-site
+// DynaMast deployment, then builds a brand-new site-2 replica from the
+// initial load plus the logs — the log-side checkpoint and the retained
+// suffix above it — and compares its rows, svv and mastership to the live
+// deployment's.
+void RunThenRecoverFreshReplica(int txns, bool checkpoint) {
   RangePartitioner partitioner(10, 10);
   core::DynaMastSystem system(FastOptions(3), &partitioner);
   ASSERT_TRUE(system.CreateTable(kTable).ok());
@@ -229,7 +233,7 @@ TEST(RecoveryTest, FreshReplicaConvergesFromRedoLog) {
   core::ClientState client;
   client.id = 1;
   Random rng(1234);
-  for (int i = 0; i < 120; ++i) {
+  for (int i = 0; i < txns; ++i) {
     const uint64_t a = rng.Uniform(100);
     uint64_t b = rng.Uniform(100);
     if (a == b) b = (b + 11) % 100;
@@ -249,14 +253,46 @@ TEST(RecoveryTest, FreshReplicaConvergesFromRedoLog) {
     ASSERT_TRUE(system.Execute(client, profile, logic, &result).ok());
   }
 
-  // Reconstruct a replacement replica for site 2 directly from the logs.
+  // Let every site apply everything, so the live state is one svv.
+  core::Cluster& cluster = system.cluster();
+  VersionVector head(3);
+  for (SiteId i = 0; i < 3; ++i) {
+    head.MaxWith(cluster.site(i)->CurrentVersion());
+  }
+  for (SiteId i = 0; i < 3; ++i) {
+    ASSERT_TRUE(cluster.site(i)->WaitForVersion(head).ok());
+  }
+  if (checkpoint) {
+    // The cleaner checkpoints on its own once an append fills a segment.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (cluster.logs().CheckpointCut().svv.Total() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_GT(cluster.logs().CheckpointCut().svv.Total(), 0u);
+    // A final checkpoint at the head leaves less than a segment per topic.
+    ASSERT_TRUE(cluster.CheckpointLogs().ok());
+    EXPECT_EQ(cluster.logs().CheckpointCut().svv, head);
+    uint64_t truncated = 0;
+    for (SiteId t = 0; t < 3; ++t) {
+      const log::DurableLog::Retention r =
+          cluster.logs().TopicFor(t)->Retained();
+      EXPECT_LT(r.records, log::kSegmentRecords) << "topic " << t;
+      truncated += r.base;
+    }
+    EXPECT_GT(truncated, 0u);
+    EXPECT_GT(system.site_selector().counters().remastered_txns.load(), 0u);
+  }
+
+  // Reconstruct a replacement replica for site 2 from the logs.
   site::SiteOptions options;
   options.site_id = 2;
   options.num_sites = 3;
   options.read_op_cost = options.write_op_cost = options.apply_op_cost =
       std::chrono::microseconds(0);
-  site::SiteManager replacement(options, &partitioner,
-                                &system.cluster().logs(), nullptr);
+  site::SiteManager replacement(options, &partitioner, &cluster.logs(),
+                                nullptr);
   ASSERT_TRUE(replacement.CreateTable(kTable).ok());
   for (uint64_t key = 0; key < 100; ++key) {
     ASSERT_TRUE(replacement.LoadRecord(RecordKey{kTable, key}, Num(5)).ok());
@@ -271,19 +307,33 @@ TEST(RecoveryTest, FreshReplicaConvergesFromRedoLog) {
   // Row-for-row equality with site 0's latest state.
   for (uint64_t key = 0; key < 100; ++key) {
     std::string expected, actual;
-    ASSERT_TRUE(system.cluster().site(0)->engine().ReadLatest(
+    ASSERT_TRUE(cluster.site(0)->engine().ReadLatest(
         RecordKey{kTable, key}, &expected).ok());
     ASSERT_TRUE(replacement.engine().ReadLatest(RecordKey{kTable, key},
                                                 &actual).ok());
     EXPECT_EQ(AsNum(actual), AsNum(expected)) << "key " << key;
   }
-  // Recovered mastership equals the selector's live map.
+  EXPECT_EQ(replacement.CurrentVersion(), head);
+  // Recovered mastership equals the selector's live map and the sites'.
   for (PartitionId p = 0; p < 10; ++p) {
-    EXPECT_EQ(recovered[p],
-              system.site_selector().partition_map().MasterOfLocked(p))
-        << "partition " << p;
+    const SiteId owner =
+        system.site_selector().partition_map().MasterOfLocked(p);
+    EXPECT_EQ(recovered[p], owner) << "partition " << p;
+    EXPECT_TRUE(cluster.site(owner)->IsMasterOf(p)) << "partition " << p;
+    EXPECT_EQ(replacement.IsMasterOf(p), owner == 2) << "partition " << p;
   }
   system.Shutdown();
+}
+
+TEST(RecoveryTest, FreshReplicaConvergesFromRedoLog) {
+  RunThenRecoverFreshReplica(120, /*checkpoint=*/false);
+}
+
+TEST(RecoveryTest, FreshReplicaConvergesFromCheckpointPlusSuffix) {
+  // More than three segments of appends across the topics, so at least one
+  // topic fills a segment, wakes the cleaner and is truncated.
+  RunThenRecoverFreshReplica(3 * static_cast<int>(log::kSegmentRecords) + 500,
+                             /*checkpoint=*/true);
 }
 
 // ---- Remastering fuzz ----------------------------------------------------------

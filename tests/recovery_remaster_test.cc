@@ -10,8 +10,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <thread>
 #include <memory>
+#include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -273,7 +274,10 @@ TEST(RecoveryRemasterTest, GrantMarkerReassertsRecoveredOwner) {
 //   append  11     one committed write at the new master, topic 1
 //
 // The sweep truncates the log at every k in [0, 11] and recovers fresh
-// sites from the surviving prefix. Invariants checked at every point:
+// sites from the surviving prefix. Each crash point also runs with a
+// log-side checkpoint taken after j <= k appends (j = 0: none), so
+// recovery installs the checkpoint and replays only the suffix above it.
+// Invariants checked at every (k, j):
 // both sites compute identical mastership, every partition has exactly
 // one master (the release's recipient iff the release marker survived),
 // recovered data equals the surviving write prefix, the recovered
@@ -284,13 +288,36 @@ constexpr uint64_t kSweepWrites = 8;        // appends 1..8
 constexpr uint64_t kReleaseAppend = 9;      // release marker
 constexpr uint64_t kSweepTotalAppends = 11; // full scenario
 
-class RecoveryCrashPointTest : public ::testing::TestWithParam<uint64_t> {};
+constexpr uint64_t kNoCheckpoint = 0;
+
+class RecoveryCrashPointTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, uint64_t>> {};
+
+// Once `j` appends are durable (and j > 0), lets both sites apply every
+// durable record, then checkpoints the logs at their common svv: the cut
+// then holds exactly the first j appends.
+void CheckpointAfterAppends(core::Cluster* cluster, uint64_t j, bool* done) {
+  if (*done || j == kNoCheckpoint || cluster->logs().TotalAppends() < j) {
+    return;
+  }
+  *done = true;
+  VersionVector durable(2);
+  for (SiteId t = 0; t < 2; ++t) {
+    durable[t] = cluster->logs().TopicFor(t)->Size();
+  }
+  for (SiteId i = 0; i < 2; ++i) {
+    ASSERT_TRUE(cluster->site(i)->WaitForVersion(durable).ok());
+  }
+  ASSERT_TRUE(cluster->CheckpointLogs().ok());
+  EXPECT_EQ(cluster->logs().CheckpointCut().svv, durable);
+}
 
 // Runs the remaster scenario with the log armed to lose every append
-// after the first `k`. Returns the cluster so the caller can recover
-// from its (truncated) logs.
+// after the first `k`, checkpointing after `j` appends. Returns the
+// cluster so the caller can recover from its (truncated) logs.
 std::unique_ptr<core::Cluster> RunCrashedScenario(
-    const RangePartitioner& partitioner, uint64_t k) {
+    const RangePartitioner& partitioner, uint64_t k,
+    uint64_t j = kNoCheckpoint) {
   core::Cluster::Options copts;
   copts.num_sites = 2;
   copts.network.charge_delays = false;
@@ -315,21 +342,27 @@ std::unique_ptr<core::Cluster> RunCrashedScenario(
   }
 
   uint64_t txn = 0;
+  bool checkpointed = false;
   for (uint64_t key = 0; key < 2 * kSweepWrites; key += 2) {
     // Lost appends still commit in memory; that memory dies with the
     // crash, so phase 1 ignores the statuses past the crash point.
     (void)WriteKey(cluster->site(0), key, key + 100, 1, ++txn);
+    CheckpointAfterAppends(cluster.get(), j, &checkpointed);
   }
   VersionVector release_version, grant_version;
   (void)cluster->site(0)->Release({1}, 1, &release_version);
+  CheckpointAfterAppends(cluster.get(), j, &checkpointed);
   // With the release marker lost, site 1 never reaches the release
   // version and this Grant times out — exactly the half-transferred
   // window recovery must resolve.
   if (cluster->site(1)
           ->Grant({1}, 0, release_version, &grant_version)
           .ok()) {
+    CheckpointAfterAppends(cluster.get(), j, &checkpointed);
     (void)WriteKey(cluster->site(1), 17, 999, 1, ++txn);
+    CheckpointAfterAppends(cluster.get(), j, &checkpointed);
   }
+  EXPECT_EQ(checkpointed, j != kNoCheckpoint);
   return cluster;
 }
 
@@ -343,10 +376,24 @@ TEST(RecoveryCrashPointTest, ScenarioAppendCountMatchesSweepBound) {
   cluster->Stop();
 }
 
+// Every crash point k, each without a checkpoint and with one after
+// j <= k appends for j in {1, 5, 9, 11}.
+std::vector<std::tuple<uint64_t, uint64_t>> SweepPoints() {
+  std::vector<std::tuple<uint64_t, uint64_t>> points;
+  for (uint64_t k = 0; k <= kSweepTotalAppends; ++k) {
+    for (uint64_t j : {kNoCheckpoint, uint64_t{1}, uint64_t{5},
+                       kReleaseAppend, kSweepTotalAppends}) {
+      if (j <= k) points.emplace_back(k, j);
+    }
+  }
+  return points;
+}
+
 TEST_P(RecoveryCrashPointTest, RecoversToSingleMasterAtEveryCrashPoint) {
-  const uint64_t k = GetParam();
+  const auto [k, j] = GetParam();
   RangePartitioner partitioner(10, 2);
-  std::unique_ptr<core::Cluster> cluster = RunCrashedScenario(partitioner, k);
+  std::unique_ptr<core::Cluster> cluster =
+      RunCrashedScenario(partitioner, k, j);
   // The crash: phase-1 memory (and its appliers) is gone; only the
   // truncated log survives. Recovery below uses non-blocking reads, so
   // the closed topics are fine.
@@ -365,6 +412,10 @@ TEST_P(RecoveryCrashPointTest, RecoversToSingleMasterAtEveryCrashPoint) {
       ASSERT_TRUE(sites[i]->LoadRecord(RecordKey{kTable, key}, Num(0)).ok());
     }
     ASSERT_TRUE(sites[i]->RecoverFromLogs(initial, &recovered[i]).ok());
+    // The recovered svv covers exactly the surviving appends.
+    EXPECT_EQ(sites[i]->CurrentVersion().Total(),
+              std::min(k, kSweepTotalAppends))
+        << "crash point " << k << " checkpoint " << j;
   }
 
   // Mastership is a pure function of the surviving prefix: the release
@@ -412,12 +463,16 @@ TEST_P(RecoveryCrashPointTest, RecoversToSingleMasterAtEveryCrashPoint) {
   for (auto& s : sites) s->Stop();
 }
 
-INSTANTIATE_TEST_SUITE_P(AllSyncPoints, RecoveryCrashPointTest,
-                         ::testing::Range<uint64_t>(0, kSweepTotalAppends + 1),
-                         [](const ::testing::TestParamInfo<uint64_t>& info) {
-                           return "after_" + std::to_string(info.param) +
-                                  "_appends";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllSyncPoints, RecoveryCrashPointTest,
+    ::testing::ValuesIn(SweepPoints()),
+    [](const ::testing::TestParamInfo<std::tuple<uint64_t, uint64_t>>& info) {
+      const uint64_t k = std::get<0>(info.param);
+      const uint64_t j = std::get<1>(info.param);
+      return "after_" + std::to_string(k) + "_appends" +
+             (j == kNoCheckpoint ? std::string()
+                                 : "_checkpoint_" + std::to_string(j));
+    });
 
 }  // namespace
 }  // namespace dynamast

@@ -77,6 +77,22 @@ TEST(TraceTest, RingEvictsOldestAndCountsDrops) {
   EXPECT_EQ(events[3].name, "s9");
 }
 
+TEST(TraceTest, BusyCategoryDoesNotEvictARareOne) {
+  Tracer tracer(/*capacity=*/4);
+  { Span span(&tracer, "release", "remaster", 0, 0); }
+  for (int i = 0; i < 10; ++i) {
+    Span span(&tracer, "s" + std::to_string(i), "txn", 0, 0);
+  }
+  auto events = tracer.Snapshot();
+  ASSERT_EQ(events.size(), 5u);
+  EXPECT_EQ(tracer.size(), 5u);
+  EXPECT_EQ(tracer.dropped(), 6u);
+  // Merged oldest-first across the rings: the release, then s6..s9.
+  EXPECT_EQ(events[0].name, "release");
+  EXPECT_EQ(events[1].name, "s6");
+  EXPECT_EQ(events[4].name, "s9");
+}
+
 TEST(TraceTest, ChromeJsonIsValidAndCarriesProcessNames) {
   Tracer tracer;
   tracer.SetProcessName(0, "site0");
